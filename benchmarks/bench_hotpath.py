@@ -3,11 +3,12 @@
 Unlike every other benchmark in this directory (which measure *simulated*
 metrics), this one measures *wall-clock* simulator performance — the
 before/after contract of the batch-first hot-path rewrite.  "Before" runs
-the scalar reference implementations kept in-tree for exactly this
-purpose (``SsdSlsBackend(vectorized=False)``, ``ScalarSetAssociativeLru``,
-``ftl.batch_reads=False``); "after" runs the default vectorized path.
-Both produce bit-identical simulated results (asserted here and in
-``tests/hotpath/``), so the ratio is pure interpreter-overhead reduction.
+the test-only scalar references from ``tests/reference``
+(``ScalarSsdSlsBackend``, ``ScalarSetAssociativeLru`` and the per-page
+FTL read installed by ``install_scalar_reads``); "after" runs the
+production vectorized path.  Both produce bit-identical simulated
+results (asserted here and in ``tests/hotpath/``), so the ratio is pure
+interpreter-overhead reduction.
 
 Components:
 
@@ -46,14 +47,22 @@ from repro.embedding.backends.dram import DramSlsBackend
 from repro.embedding.backends.ndp import NdpSlsBackend
 from repro.embedding.backends.ssd import SsdSlsBackend
 from repro.embedding.caches import SetAssociativeLru
-from repro.embedding.caches_scalar import ScalarSetAssociativeLru
 from repro.embedding.spec import TableSpec
 from repro.embedding.table import EmbeddingTable
 from repro.host.system import build_system
 from repro.models import BackendKind, ModelRunner, RunnerConfig, build_model
 from repro.traces.powerlaw import ZipfTraceGenerator
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
+REPO = Path(__file__).resolve().parent.parent
+# The "before" side is the test-only reference package ``tests.reference``.
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+
+from tests.reference.backends import ScalarSsdSlsBackend  # noqa: E402
+from tests.reference.caches import ScalarSetAssociativeLru  # noqa: E402
+from tests.reference.ftl import install_scalar_reads  # noqa: E402
+
+OUTPUT = REPO / "BENCH_hotpath.json"
 
 CACHE_FILTER_SPEEDUP_FLOOR = 3.0
 FIG6_SPEEDUP_FLOOR = 1.5
@@ -67,12 +76,14 @@ def run_cache_filter(vectorized: bool, smoke: bool) -> Dict[str, float]:
     n_bags, bag_size = (32, 16) if smoke else (256, 64)
     ops = 2 if smoke else 8
     system = build_system(min_capacity_pages=1 << 17)
-    system.device.ftl.batch_reads = vectorized
+    if not vectorized:
+        install_scalar_reads(system.device.ftl)
     table = EmbeddingTable(TableSpec(name="t", rows=rows_total, dim=32))
     table.attach(system.device)
     cache_cls = SetAssociativeLru if vectorized else ScalarSetAssociativeLru
     cache = cache_cls(8192, ways=16)
-    backend = SsdSlsBackend(system, table, host_cache=cache, vectorized=vectorized)
+    backend_cls = SsdSlsBackend if vectorized else ScalarSsdSlsBackend
+    backend = backend_cls(system, table, host_cache=cache)
     gen = ZipfTraceGenerator(rows_total, alpha=2.0, seed=1)
     for _ in range(2 if smoke else 4):
         backend.run_sync(gen.generate_bags(n_bags, bag_size))
@@ -147,12 +158,16 @@ def run_fig6_style(vectorized: bool, smoke: bool) -> Dict[str, float]:
         ),
     )
     if not vectorized:
-        runner.system.device.ftl.batch_reads = False
+        install_scalar_reads(runner.system.device.ftl)
         for name, backend in runner.stage.backends.items():
-            backend.vectorized = False
             scalar_cache = ScalarSetAssociativeLru(8192, ways=16)
             runner.host_caches[name] = scalar_cache
-            backend.host_cache = scalar_cache
+            runner.stage.backends[name] = ScalarSsdSlsBackend(
+                runner.system,
+                backend.table,
+                host_cache=scalar_cache,
+                coalesce=backend.coalesce,
+            )
     ssd = runner.run_batches(batches)
     wall = time.perf_counter() - t0
     return {

@@ -16,11 +16,14 @@ guess.  Any benchmark in this directory doubles as a profiling driver::
 
 Read ``tottime`` first (self time: the interpreter hot spots) and
 ``cumtime`` second (who drives them).  The hot-path contract lives in
-``bench_hotpath.py``: the scalar reference paths
-(``SsdSlsBackend(vectorized=False)``, ``ftl.batch_reads=False``,
-``caches_scalar``) are kept in-tree precisely so a perf change can be
-measured as a before/after ratio with bit-identical simulated results —
-keep it that way for future optimizations.
+``bench_hotpath.py``.  Production ``src/`` keeps one implementation of
+each hot operation; the scalar references it replaced live in the
+test-only package ``tests/reference`` (``ScalarSsdSlsBackend``,
+``ScalarNdpSlsBackend``, the per-page FTL read, the dict caches and
+update overlay).  The equivalence tests pin them to production, and
+``bench_hotpath.py`` imports them as its "before" side, so a perf change
+can still be measured as a before/after ratio with bit-identical
+simulated results.
 """
 
 from __future__ import annotations

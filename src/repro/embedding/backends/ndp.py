@@ -6,11 +6,11 @@ host-side and the SSD handles only the cold remainder; the returned
 partial sums are merged on the host — exactly the post-processing step
 the paper describes.
 
-The hot/cold split runs batch-first by default: one vectorized
-membership probe over the flattened bags, a segment-sum for the per-bag
-hot partials, and a boundary split for the cold remainder — no per-bag
-Python loop.  ``vectorized=False`` keeps the scalar reference
-implementation for the golden-equivalence tests and benchmarks.
+The hot/cold split runs batch-first: one vectorized membership probe
+over the flattened bags, a segment-sum for the per-bag hot partials, and
+a boundary split for the cold remainder — no per-bag Python loop.  The
+per-bag scalar split it replaced is the test-only oracle
+``ScalarNdpSlsBackend`` in ``tests/reference/backends.py``.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ class NdpSlsBackend(SlsBackend):
         system,
         table: EmbeddingTable,
         partition: Optional[StaticPartitionCache] = None,
-        vectorized: bool = True,
     ):
         super().__init__(system, table)
         self.partition = partition
-        self.vectorized = vectorized
         # Host-path fallback used while the device's NDP engine is down
         # (fault injection); built lazily so healthy runs never touch it.
         self._fallback = None
@@ -57,17 +55,6 @@ class NdpSlsBackend(SlsBackend):
         Fills ``partial`` with the per-result hot sums and returns the cold
         remainder bags plus the host CPU time the split cost.
         """
-        if self.vectorized:
-            return self._split_partition_vectorized(bags, partial, breakdown, stats)
-        return self._split_partition_scalar(bags, partial, breakdown, stats)
-
-    def _split_partition_vectorized(
-        self,
-        bags: Sequence[np.ndarray],
-        partial: np.ndarray,
-        breakdown: Breakdown,
-        stats: Dict[str, float],
-    ) -> tuple[List[np.ndarray], float]:
         host_cpu = self.system.host_cpu
         table = self.table
         host_cost = 0.0
@@ -99,45 +86,6 @@ class NdpSlsBackend(SlsBackend):
         stats["partition_hits"] = float(partition_hits)
         stats["cold_lookups"] = float(sum(b.size for b in cold_bags))
         return list(cold_bags), host_cost
-
-    def _split_partition_scalar(
-        self,
-        bags: Sequence[np.ndarray],
-        partial: np.ndarray,
-        breakdown: Breakdown,
-        stats: Dict[str, float],
-    ) -> tuple[List[np.ndarray], float]:
-        """Scalar reference (golden baseline; do not optimize)."""
-        host_cpu = self.system.host_cpu
-        table = self.table
-        cold_bags: List[np.ndarray] = []
-        total_lookups = 0
-        partition_hits = 0
-        host_cost = 0.0
-        if self.partition is not None:
-            for i, bag in enumerate(bags):
-                bag = np.asarray(bag, dtype=np.int64).reshape(-1)
-                total_lookups += bag.size
-                if bag.size == 0:
-                    cold_bags.append(bag)
-                    continue
-                mask = self.partition.partition_mask(bag)
-                hot = bag[mask]
-                if hot.size:
-                    partial[i] = self.partition.vectors_for(hot).sum(
-                        axis=0, dtype=np.float32
-                    )
-                    partition_hits += int(hot.size)
-                cold_bags.append(bag[~mask])
-            host_cost = host_cpu.accumulate_time(partition_hits, table.spec.row_bytes)
-            breakdown.add("host_partition", host_cost)
-        else:
-            cold_bags = [np.asarray(b, dtype=np.int64).reshape(-1) for b in bags]
-            total_lookups = int(sum(b.size for b in cold_bags))
-        stats["lookups"] = float(total_lookups)
-        stats["partition_hits"] = float(partition_hits)
-        stats["cold_lookups"] = float(sum(b.size for b in cold_bags))
-        return cold_bags, host_cost
 
     def _start(self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]) -> None:
         device = getattr(self.table, "device", None)
@@ -215,9 +163,7 @@ class NdpSlsBackend(SlsBackend):
         from .ssd import SsdSlsBackend
 
         if self._fallback is None:
-            self._fallback = SsdSlsBackend(
-                self.system, self.table, vectorized=self.vectorized
-            )
+            self._fallback = SsdSlsBackend(self.system, self.table)
         self.fallback_ops += 1
 
         def tagged(result: SlsOpResult) -> None:

@@ -11,8 +11,8 @@ Both caches are array-native: tags, LRU stamps and values live in dense
 numpy storage so the serving hot path can probe a whole batch of rows in
 a handful of vector operations (``lookup_many`` / ``insert_many`` /
 ``partition_mask``), while the scalar entry points stay O(1) through a
-key -> slot dict.  The behaviour is bit-identical to the scalar
-reference in :mod:`repro.embedding.caches_scalar` (see
+key -> slot dict.  The behaviour is bit-identical to the test-only
+OrderedDict/dict references in ``tests/reference/caches.py`` (see
 ``tests/hotpath/test_cache_equivalence.py``).
 """
 
@@ -140,16 +140,6 @@ class SetAssociativeLru:
             if self.invalidate(key):
                 dropped += 1
         return dropped
-
-    def record_sequential_hit(self) -> None:
-        """Credit a hit that sequential execution would have produced.
-
-        A batch-oriented operator probes all lookups before any fetch
-        completes; a repeat of a just-missed row later in the same batch
-        would have hit under the real system's streaming execution, so the
-        backend credits it explicitly.
-        """
-        self.hits += 1
 
     def __contains__(self, key: int) -> bool:
         return key in self._slot_of

@@ -102,34 +102,28 @@ class UpdatableTableData(TableData):
 
     Replicas share the wrapped object and row shards read through it
     via :class:`MappedTableData`, so one ``apply`` on the primary is
-    visible everywhere.  ``vectorized=False`` switches to a dict-backed
-    per-row reference implementation (for the scalar-vs-vector hot-path
-    equivalence test); both modes are last-write-wins within a batch.
+    visible everywhere.  Updates are last-write-wins within a batch.
+    The dict-backed per-row reference this sorted overlay must match is
+    ``ScalarUpdatableTableData`` in ``tests/reference/data.py``.
     """
 
-    def __init__(self, base: TableData, vectorized: bool = True):
+    def __init__(self, base: TableData):
         self.base = base
         self.rows = base.rows
         self.dim = base.dim
-        self.vectorized = vectorized
         # Sorted overlay: _ids ascending, _vals the committed vectors.
         self._ids = np.empty(0, dtype=np.int64)
         self._vals = np.empty((0, self.dim), dtype=np.float32)
-        self._overlay: dict = {}
         self.updates_applied = 0
         self.rows_written = 0
 
     @property
     def overlay_rows(self) -> int:
         """Distinct rows currently overridden by updates."""
-        if not self.vectorized:
-            return len(self._overlay)
         return int(self._ids.size)
 
     def written_ids(self) -> np.ndarray:
         """Ascending global ids of every row ever updated."""
-        if not self.vectorized:
-            return np.asarray(sorted(self._overlay), dtype=np.int64)
         return self._ids.copy()
 
     def apply(self, ids: np.ndarray, values: np.ndarray) -> int:
@@ -143,12 +137,6 @@ class UpdatableTableData(TableData):
         if ids.size == 0:
             return 0
         self.updates_applied += 1
-        if not self.vectorized:
-            distinct = len({int(g) for g in ids})
-            for i in range(ids.size):
-                self._overlay[int(ids[i])] = values[i].copy()
-            self.rows_written += distinct
-            return distinct
         # Last-write-wins dedupe: the first occurrence in the reversed
         # batch is the last write in batch order.
         uids, rev_first = np.unique(ids[::-1], return_index=True)
@@ -172,12 +160,6 @@ class UpdatableTableData(TableData):
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
         out = self.base.get_rows(ids)
-        if not self.vectorized:
-            for i in range(ids.size):
-                vec = self._overlay.get(int(ids[i]))
-                if vec is not None:
-                    out[i] = vec
-            return out
         if self._ids.size and ids.size:
             pos = np.searchsorted(self._ids, ids)
             clipped = np.minimum(pos, self._ids.size - 1)

@@ -4,7 +4,8 @@ The :class:`MetricsRegistry` is the aggregate side of ``repro.obs``:
 where the tracer records *individual* causally-linked intervals, the
 registry holds *named* running values — counters (monotonic within a
 reset window), gauges (last-write-wins), and histograms (full sample
-lists with the repo's rank-based percentile rule).
+lists with the repo's one percentile rule,
+:func:`~repro.sim.stats.rank_quantile`).
 
 The :class:`PeriodicSampler` turns live gauges into *time series*: every
 ``period_s`` simulated seconds it calls a probe callable, which returns a
@@ -25,6 +26,8 @@ callable returning a mapping works.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+
+from ..sim.stats import rank_quantile
 
 __all__ = [
     "Counter",
@@ -81,8 +84,9 @@ class Gauge:
 
 
 class Histogram:
-    """A full sample list with rank-based percentiles (the repo's rule:
-    sorted values, index ``ceil(p/100 * n) - 1``)."""
+    """A full sample list with rank-based percentiles (the repo's rule,
+    :func:`~repro.sim.stats.rank_quantile`: the same index every serving
+    and cluster latency report uses)."""
 
     __slots__ = ("name", "values")
 
@@ -102,11 +106,8 @@ class Histogram:
         return sum(self.values) / len(self.values) if self.values else 0.0
 
     def percentile(self, p: float) -> float:
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(0, -(-int(p * len(ordered)) // 100) - 1)
-        return ordered[min(rank, len(ordered) - 1)]
+        """Percentile ``p`` in [0, 100]; 0.0 when empty."""
+        return rank_quantile(sorted(self.values), p / 100.0)
 
     def reset_stats(self) -> None:
         self.values.clear()

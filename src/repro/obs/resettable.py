@@ -21,7 +21,7 @@ assert zeros — one surface, however many classes register.
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, List
+from typing import List
 
 __all__ = [
     "register_resettable",
@@ -68,10 +68,3 @@ def clear_registry() -> None:
     """Forget all registrations (test isolation helper)."""
     _REGISTRY.clear()
 
-
-def _registered_count() -> int:
-    return len(_REGISTRY)
-
-
-def _iter_registered() -> Iterator[object]:  # pragma: no cover - debug aid
-    yield from _REGISTRY

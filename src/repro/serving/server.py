@@ -72,12 +72,12 @@ class ServingConfig:
     # bounds concurrent per-table SLS ops (DRAM gathers, NDP host
     # split/merge) on a shared host worker pool; None (default) keeps
     # the seed's infinite overlap bit-identically.  dense_workers sizes
-    # the dense-stage NN worker pool: None (default) keeps the legacy
-    # single serialized host NN timeline bit-identically, k >= 1 is a
-    # pool of k workers, 0 means unbounded (every dense job starts
+    # the dense-stage NN worker pool: k >= 1 is a pool of k workers
+    # (the default 1 is the legacy single serialized host NN timeline,
+    # bit-identically), 0 means unbounded (every dense job starts
     # immediately — the "∞" point of host-contention sweeps).
     host_sls_workers: Optional[int] = None
-    dense_workers: Optional[int] = None
+    dense_workers: int = 1
     # Dense service-time model: a global multiplier on each model's
     # dense_time(), and optional per-sample overrides by model name
     # (scaled linearly with batch size) for contention studies.

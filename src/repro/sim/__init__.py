@@ -2,7 +2,7 @@
 
 from .kernel import Process, ScheduleHandle, Signal, SimError, Simulator, Timeout, drain
 from .resources import BandwidthPipe, Server, Store
-from .stats import Accumulator, Breakdown, Histogram, TimeWeightedStat, summarize_latencies
+from .stats import Accumulator, Breakdown, TimeWeightedStat, summarize_latencies
 from . import units
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "BandwidthPipe",
     "Accumulator",
     "Breakdown",
-    "Histogram",
     "TimeWeightedStat",
     "summarize_latencies",
     "units",

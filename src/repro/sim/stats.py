@@ -7,7 +7,6 @@ from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "Accumulator",
-    "Histogram",
     "TimeWeightedStat",
     "Breakdown",
     "rank_quantile",
@@ -75,46 +74,6 @@ class Accumulator:
             f"Accumulator(n={self.count}, mean={self.mean:.4g}, "
             f"min={self.minimum:.4g}, max={self.maximum:.4g})"
         )
-
-
-class Histogram:
-    """Log2-bucketed histogram for latency/size distributions."""
-
-    def __init__(self, base: float = 1e-6):
-        if base <= 0:
-            raise ValueError("base must be positive")
-        self.base = base
-        self.buckets: Dict[int, int] = {}
-        self.acc = Accumulator()
-
-    def add(self, value: float) -> None:
-        self.acc.add(value)
-        if value <= 0:
-            bucket = -1
-        else:
-            bucket = max(0, int(math.log2(value / self.base)) + 1)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    def bucket_bounds(self, bucket: int) -> tuple[float, float]:
-        if bucket <= -1:
-            return (0.0, 0.0)
-        if bucket == 0:
-            return (0.0, self.base)
-        return (self.base * 2 ** (bucket - 1), self.base * 2**bucket)
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bucket upper bounds."""
-        if not 0 <= q <= 1:
-            raise ValueError("q must be in [0, 1]")
-        if self.acc.count == 0:
-            return 0.0
-        target = q * self.acc.count
-        seen = 0
-        for bucket in sorted(self.buckets):
-            seen += self.buckets[bucket]
-            if seen >= target:
-                return self.bucket_bounds(bucket)[1]
-        return self.acc.maximum
 
 
 class TimeWeightedStat:

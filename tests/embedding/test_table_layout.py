@@ -8,6 +8,8 @@ from repro.embedding.backends.ndp import NdpSlsBackend
 from repro.embedding.backends.ssd import SsdSlsBackend
 from repro.host.system import build_system
 
+from ..reference.backends import ScalarSsdSlsBackend
+
 
 @pytest.fixture
 def rng():
@@ -87,7 +89,7 @@ class TestBackendsUnderLayout:
         "make_backend",
         [
             lambda system, table: SsdSlsBackend(system, table),
-            lambda system, table: SsdSlsBackend(system, table, vectorized=False),
+            lambda system, table: ScalarSsdSlsBackend(system, table),
             lambda system, table: NdpSlsBackend(system, table),
         ],
         ids=["ssd-vectorized", "ssd-scalar", "ndp"],

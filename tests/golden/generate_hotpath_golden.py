@@ -1,7 +1,10 @@
 """Regenerate ``hotpath_golden.json`` from the current implementation.
 
-Run this ONLY on a commit whose hot path is trusted (it was first
-recorded on the scalar implementation the vectorized one must match):
+Run this ONLY on a commit whose hot path is trusted.  It was first
+recorded on the scalar implementation the vectorized one must match;
+that implementation is kept as the test-only oracle in
+``tests/reference/``, and the randomized tests in ``tests/hotpath/``
+compare against it directly:
 
     PYTHONPATH=src python -m tests.golden.generate_hotpath_golden
 """

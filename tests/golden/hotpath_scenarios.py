@@ -3,8 +3,9 @@
 The vectorized hot path (array caches, batched FTL reads, bulk event
 scheduling) must leave every *simulated* number unchanged: op latencies,
 component breakdowns, cache hit/miss/eviction counts, device counters.
-These scenarios were recorded on the scalar implementation and replayed
-against the vectorized one; `tests/hotpath/test_golden_equivalence.py`
+These scenarios were recorded on the scalar implementation, which now
+lives on as the test-only oracle in `tests/reference/`, and are replayed
+against the production path; `tests/hotpath/test_golden_equivalence.py`
 asserts the outcomes still match `hotpath_golden.json` exactly (times,
 counters) or to float tolerance (accumulated values).
 

@@ -13,13 +13,13 @@ import pytest
 from repro.embedding.backends.ndp import NdpSlsBackend
 from repro.embedding.backends.ssd import SsdSlsBackend
 from repro.embedding.caches import SetAssociativeLru, StaticPartitionCache
-from repro.embedding.caches_scalar import (
-    ScalarSetAssociativeLru,
-    ScalarStaticPartitionCache,
-)
 from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import EmbeddingTable
 from repro.host.system import build_system
+
+from ..reference.backends import ScalarNdpSlsBackend, ScalarSsdSlsBackend
+from ..reference.caches import ScalarSetAssociativeLru, ScalarStaticPartitionCache
+from ..reference.ftl import install_scalar_reads
 
 
 def make_bags(seed, n_bags, bag_size, rows):
@@ -33,16 +33,16 @@ def make_bags(seed, n_bags, bag_size, rows):
 
 def build_ssd_backend(vectorized, layout, coalesce, cache_capacity, rows=20_000):
     system = build_system(min_capacity_pages=1 << 16)
-    system.device.ftl.batch_reads = vectorized
+    if not vectorized:
+        install_scalar_reads(system.device.ftl)
     table = EmbeddingTable(TableSpec(name="t", rows=rows, dim=16, layout=layout))
     table.attach(system.device)
     cache = None
     if cache_capacity:
         cls = SetAssociativeLru if vectorized else ScalarSetAssociativeLru
         cache = cls(cache_capacity, ways=16)
-    backend = SsdSlsBackend(
-        system, table, host_cache=cache, coalesce=coalesce, vectorized=vectorized
-    )
+    backend_cls = SsdSlsBackend if vectorized else ScalarSsdSlsBackend
+    backend = backend_cls(system, table, host_cache=cache, coalesce=coalesce)
     return system, table, backend, cache
 
 
@@ -102,7 +102,8 @@ def build_ndp_backend(vectorized, partition_capacity, rows=20_000):
         vectors = table.get_rows(hot)
         cls = StaticPartitionCache if vectorized else ScalarStaticPartitionCache
         partition = cls(hot, vectors)
-    backend = NdpSlsBackend(system, table, partition=partition, vectorized=vectorized)
+    backend_cls = NdpSlsBackend if vectorized else ScalarNdpSlsBackend
+    backend = backend_cls(system, table, partition=partition)
     return system, table, backend, partition
 
 

@@ -2,7 +2,8 @@
 
 Two identically-built systems run the same randomized multi-page read
 sequences — mixing mapped, unmapped, cached and duplicate pages, plus
-pages rewritten through the IO path — with ``batch_reads`` on and off.
+pages rewritten through the IO path — through the batched path and
+through the per-page reference installed from ``tests/reference/ftl.py``.
 Completion times, contents, and every FTL/flash/page-cache counter must
 match exactly.
 """
@@ -18,12 +19,15 @@ from repro.flash.reliability import ReadRetryModel, ReliabilityConfig
 from repro.host.system import build_system
 from repro.nvme.payload import page_content_to_bytes
 
+from ..reference.ftl import install_scalar_reads
+
 
 def build(batch_reads, page_cache_pages=64):
     system = build_system(
         min_capacity_pages=1 << 16, page_cache_pages=page_cache_pages
     )
-    system.device.ftl.batch_reads = batch_reads
+    if not batch_reads:
+        install_scalar_reads(system.device.ftl)
     table = EmbeddingTable(
         TableSpec(name="t", rows=4096, dim=16, layout=Layout.PACKED)
     )

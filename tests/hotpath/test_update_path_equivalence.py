@@ -7,8 +7,8 @@ on the NDP partition cache.  Each batch operation must be
 indistinguishable — in returned values, hit/miss/invalidation stats,
 final contents and LRU recency order — from the equivalent sequence of
 scalar operations on the per-row reference implementations
-(``repro.embedding.caches_scalar``, ``UpdatableTableData`` in
-``vectorized=False`` mode, and plain per-key ``invalidate`` loops).
+(``tests/reference/caches.py``, ``ScalarUpdatableTableData`` from
+``tests/reference/data.py``, and plain per-key ``invalidate`` loops).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import pytest
 
 from repro.core.embcache import DirectMappedEmbeddingCache
 from repro.embedding.caches import SetAssociativeLru, StaticPartitionCache
-from repro.embedding.caches_scalar import (
-    ScalarSetAssociativeLru,
-    ScalarStaticPartitionCache,
-)
 from repro.embedding.data import DenseTableData, UpdatableTableData
+
+from ..reference.caches import ScalarSetAssociativeLru, ScalarStaticPartitionCache
+from ..reference.data import ScalarUpdatableTableData
 
 
 def vec(x, dim=4):
@@ -163,7 +162,7 @@ class TestUpdatableDataEquivalence:
         rng = np.random.default_rng(seed)
         base = DenseTableData.random(256, 4, seed=seed)
         vecd = UpdatableTableData(base)
-        ref = UpdatableTableData(base, vectorized=False)
+        ref = ScalarUpdatableTableData(base)
         for _ in range(40):
             n = int(rng.integers(1, 20))
             ids = rng.integers(0, 256, size=n).astype(np.int64)
@@ -180,8 +179,8 @@ class TestUpdatableDataEquivalence:
 
     def test_empty_and_shape_checks_match(self):
         base = DenseTableData.random(16, 4, seed=0)
-        for mode in (True, False):
-            data = UpdatableTableData(base, vectorized=mode)
+        for cls in (UpdatableTableData, ScalarUpdatableTableData):
+            data = cls(base)
             assert data.apply(np.empty(0, np.int64), np.empty((0, 4), np.float32)) == 0
             assert data.updates_applied == 0
             with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.obs import (
     critical_path,
     exclusive_times,
 )
+from repro.sim.stats import rank_quantile
 
 
 def _tree_tracer() -> Tracer:
@@ -129,5 +130,20 @@ def test_attribute_pct_50_covers_upper_half():
     for i in range(4):
         tr.add("request", 0.0, float(i + 1))
     report = attribute_p99(tr, pct=50.0)
-    assert report["threshold_s"] == 2.0
-    assert report["cohort"] == 3  # durations 2, 3, 4
+    # The rule behind every p50_ms/p99_ms: index round(0.5 * 3) = 2.
+    assert report["threshold_s"] == rank_quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
+    assert report["cohort"] == 2  # durations 3, 4
+
+
+@pytest.mark.parametrize("n", [10, 52, 100, 151, 1000])
+def test_attribute_p99_cohort_is_the_p99_ms_cohort(n):
+    """The cohort is the one ``p99_ms`` reports.  At n = 52 and 151 the
+    old ``ceil(p*n/100) - 1`` rule picked one rank above ``rank_quantile``."""
+    durations = [float(i + 1) for i in range(n)]
+    tr = Tracer()
+    for d in durations:
+        tr.add("request", 0.0, d)
+    report = attribute_p99(tr)
+    threshold = rank_quantile(durations, 0.99)
+    assert report["threshold_s"] == threshold
+    assert report["cohort"] == sum(d >= threshold for d in durations)

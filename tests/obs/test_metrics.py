@@ -13,6 +13,7 @@ from repro.obs import (
     serving_probe,
 )
 from repro.sim.kernel import Simulator
+from repro.sim.stats import rank_quantile
 
 
 def test_counter_monotonic():
@@ -47,6 +48,10 @@ def test_histogram_rank_percentiles():
     assert h.percentile(100) == 5.0
     h.reset_stats()
     assert h.count == 0 and h.percentile(50) == 0.0
+    # The serving/cluster rule (rank_quantile), not ceil(p*n/100) - 1.
+    for v in [4.0, 1.0, 3.0, 2.0]:
+        h.observe(v)
+    assert h.percentile(50) == rank_quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
 
 
 def test_registry_create_on_first_use_and_type_guard():

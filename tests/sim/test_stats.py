@@ -10,7 +10,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import (
     Accumulator,
     Breakdown,
-    Histogram,
     TimeWeightedStat,
     summarize_latencies,
 )
@@ -45,34 +44,6 @@ class TestAccumulator:
         acc = Accumulator()
         acc.extend([1.0, 2.0, 3.0, 4.0])
         assert acc.stdev == pytest.approx(math.sqrt(acc.variance))
-
-
-class TestHistogram:
-    def test_counts_all_values(self):
-        hist = Histogram(base=1e-6)
-        for v in [0.5e-6, 2e-6, 3e-6, 100e-6]:
-            hist.add(v)
-        assert sum(hist.buckets.values()) == 4
-        assert hist.acc.count == 4
-
-    def test_quantile_bounds(self):
-        hist = Histogram(base=1e-6)
-        values = [i * 1e-6 for i in range(1, 101)]
-        for v in values:
-            hist.add(v)
-        q50 = hist.quantile(0.5)
-        assert 25e-6 <= q50 <= 128e-6  # bucket upper bounds are coarse
-
-    def test_invalid_quantile(self):
-        hist = Histogram()
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-
-    def test_nonpositive_values_bucketed(self):
-        hist = Histogram()
-        hist.add(0.0)
-        hist.add(-1.0)
-        assert hist.buckets[-1] == 2
 
 
 class TestTimeWeightedStat:

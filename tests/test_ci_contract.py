@@ -70,6 +70,16 @@ def test_ci_runs_layout_bench_smoke():
     assert "shift_recovery_frac" in ci
 
 
+def test_ci_runs_hotpath_bench_smoke():
+    """The hot-path bench is the only non-test consumer of the scalar
+    oracles in ``tests/reference``; CI runs it so its sim-identity
+    asserts and the JSON shape check exercise them on every push."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert "benchmarks/bench_hotpath.py --smoke" in ci
+    assert "BENCH_hotpath.json" in ci
+    assert "'cache_filter' in r and 'fig6_style' in r" in ci
+
+
 def test_pyproject_declares_slow_marker_and_cov_extra():
     pyproject = (REPO / "pyproject.toml").read_text()
     assert 'slow' in pyproject and "markers" in pyproject

@@ -75,7 +75,7 @@ scenario_strategy = st.builds(
     max_batch_requests=st.sampled_from([1, 4, 8]),
     max_inflight_batches_total=st.sampled_from([None, 1, 2]),
     host_sls_workers=st.sampled_from([None, 1, 2]),
-    dense_workers=st.sampled_from([None, 0, 1, 3]),
+    dense_workers=st.sampled_from([0, 1, 3]),
     dense_time_scale=st.sampled_from([1.0, 16.0]),
     deadline_drop=st.booleans(),
     drop_headroom_s=st.sampled_from([0.0, 0.001]),
@@ -130,7 +130,7 @@ def test_scenario_invariants(spec: ScenarioSpec):
     assert summary["mean_sls_wait_ms"] >= 0.0
 
 
-@pytest.mark.parametrize("dense_workers", [None, 0, 2])
+@pytest.mark.parametrize("dense_workers", [0, 1, 2])
 def test_tenantspec_runs_unchanged_on_host_pools(dense_workers):
     """TenantSpec needs no knowledge of the host resource model: the
     same tenants run under any pool configuration."""
