@@ -264,6 +264,7 @@ class _Call:
             stats.logical_latencies.append(self.cluster.sim.now - self.t_submit)
         else:
             stats.logical_failed += 1
+        stats.notify_settled()
         if self.hedge_handle is not None:
             self.hedge_handle.cancel()
             self.hedge_handle = None

@@ -26,7 +26,7 @@ consistent-hash routing is judged on in ``benchmarks/bench_cluster.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs.resettable import register_resettable
 from ..serving.request import InferenceRequest
@@ -55,6 +55,7 @@ class ClusterStats:
         # *host* submissions for one *logical* request, so the host-sum
         # formula would overcount the workload's stop predicate.
         self.tolerance_active = False
+        self._settle_hook: Optional[Callable[[], None]] = None
         self.reset()
         register_resettable(self)
 
@@ -92,6 +93,25 @@ class ClusterStats:
         self.reset()
 
     # ------------------------------------------------------------------
+    # Settle notification (the ``run_workload`` stop signal)
+    # ------------------------------------------------------------------
+    @property
+    def settle_hook(self) -> Optional[Callable[[], None]]:
+        """Called after every change to :attr:`settled`: host settles,
+        router rejects and logical verdicts (wiring, not a counter)."""
+        return self._settle_hook
+
+    @settle_hook.setter
+    def settle_hook(self, hook: Optional[Callable[[], None]]) -> None:
+        self._settle_hook = hook
+        for node in self._nodes:
+            node.stats.settle_hook = hook
+
+    def notify_settled(self) -> None:
+        if self._settle_hook is not None:
+            self._settle_hook()
+
+    # ------------------------------------------------------------------
     # Recording (called by the cluster front-end)
     # ------------------------------------------------------------------
     def record_router_reject(self, request: InferenceRequest) -> None:
@@ -102,6 +122,7 @@ class ClusterStats:
         self.rejects_by_reason[reason] = (
             self.rejects_by_reason.get(reason, 0) + 1
         )
+        self.notify_settled()
 
     # ------------------------------------------------------------------
     # Fleet aggregates (computed from the per-host stats on read)

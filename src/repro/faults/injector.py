@@ -9,9 +9,9 @@ what keeps fault-free runs bit-identical to a build without this module.
 
 Timing swaps key originals by ``id(device)`` and always scale from the
 *original* timing, so repeated ``fail_slow`` events re-derive rather
-than compound.  ``FlashChannel`` holds its own timing reference (die
-occupancy uses the channel's copy while batched reads use the array's),
-so both are swapped together.
+than compound.  ``FlashChannel`` holds its own timing reference (its
+die and bus occupancies derive from it) next to the array's, so both
+are swapped together.
 """
 
 from __future__ import annotations

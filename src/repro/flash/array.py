@@ -1,24 +1,30 @@
 """Flash channel and array simulation.
 
-Each channel owns one bus (:class:`~repro.sim.resources.Server`) shared by
-``ways`` dies.  Reads occupy the die for tR then the bus for the page
-transfer; programs occupy the bus first (data in) then the die for tPROG;
-erases occupy the die only.  With >=2 ways per channel, sustained read
-throughput is bus-bound at ``page_bytes / channel_bw`` per page — the 10K
-IOPS/channel figure from the paper.
+Each channel owns one bus shared by ``ways`` dies; the bus and every die
+are closed-form FIFO :class:`~repro.sim.resources.Server` stations.
+Reads occupy the die for tR then the bus for the page transfer; programs
+occupy the bus first (data in) then the die for tPROG; erases occupy the
+die only.  With >=2 ways per channel, sustained read throughput is
+bus-bound at ``page_bytes / channel_bw`` per page — the 10K IOPS/channel
+figure from the paper.
+
+A read costs two events: its die reservation ends, then it claims the
+bus.  The bus is not chained off the die in one step because programs
+reach the bus directly, so bus arrival order is only known as die
+phases end.
 """
 
 from __future__ import annotations
 
-import heapq
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from ..sim.kernel import SimError, Simulator
+from ..sim.kernel import Simulator
 from ..sim.resources import Server
-from ..sim.stats import Accumulator
-from .geometry import FlashGeometry, PhysAddr
+from .geometry import FlashGeometry
+from .reliability import ReadRetryModel, ReliabilityConfig, UncorrectableError
 from .store import FlashStore
 from .timing import FlashTiming
 
@@ -26,12 +32,6 @@ __all__ = ["FlashChannel", "FlashArray"]
 
 ReadCallback = Callable[[Any], None]
 DoneCallback = Callable[[], None]
-
-
-def _die_noop() -> None:
-    # Aggregate die-chain occupancy job: per-page work is scheduled
-    # separately; this job only holds the server.
-    pass
 
 
 class FlashChannel:
@@ -47,15 +47,25 @@ class FlashChannel:
     ):
         self.sim = sim
         self.channel_id = channel_id
-        self.timing = timing
         self.page_bytes = page_bytes
-        self.bus = Server(sim, capacity=1, name=f"ch{channel_id}.bus")
-        self.dies = [
-            Server(sim, capacity=1, name=f"ch{channel_id}.die{w}") for w in range(ways)
-        ]
+        self.timing = timing
+        self.bus = Server(sim, name=f"ch{channel_id}.bus")
+        self.dies = [Server(sim, name=f"ch{channel_id}.die{w}") for w in range(ways)]
         self.reads = 0
         self.programs = 0
         self.erases = 0
+
+    @property
+    def timing(self) -> FlashTiming:
+        return self._timing
+
+    @timing.setter
+    def timing(self, timing: FlashTiming) -> None:
+        # Swappable at run time (fail-slow faults); derived costs follow.
+        self._timing = timing
+        # Bus occupancy of one page (command + data), and one read attempt.
+        self._xfer_s = timing.t_cmd_s + timing.transfer_time(self.page_bytes)
+        self._read_attempt_s = timing.t_cmd_s + timing.t_read_s
 
     # ------------------------------------------------------------------
     def read_page(self, way: int, on_done: DoneCallback, retries: int = 0) -> None:
@@ -65,36 +75,23 @@ class FlashChannel:
         tR on the die before the data transfer.
         """
         self.reads += 1
-        die = self.dies[way]
-        xfer = self.timing.t_cmd_s + self.timing.transfer_time(self.page_bytes)
         attempts = 1 + max(0, retries)
-        die.submit(
-            attempts * (self.timing.t_cmd_s + self.timing.t_read_s),
-            lambda: self.bus.submit(xfer, on_done),
+        self.dies[way].submit(
+            attempts * self._read_attempt_s, self._read_transfer, on_done
         )
 
+    def _read_transfer(self, on_done: DoneCallback) -> None:
+        self.bus.submit(self._xfer_s, on_done)
 
     def program_page(self, way: int, on_done: DoneCallback) -> None:
         self.programs += 1
         die = self.dies[way]
-        xfer = self.timing.t_cmd_s + self.timing.transfer_time(self.page_bytes)
-        self.bus.submit(xfer, lambda: die.submit(self.timing.t_program_s, on_done))
+        t_program = self.timing.t_program_s
+        self.bus.submit(self._xfer_s, lambda: die.submit(t_program, on_done))
 
     def erase_block(self, way: int, on_done: DoneCallback) -> None:
         self.erases += 1
         self.dies[way].submit(self.timing.t_cmd_s + self.timing.t_erase_s, on_done)
-
-    # ------------------------------------------------------------------
-    @property
-    def idle(self) -> bool:
-        return self.bus.idle and all(d.idle for d in self.dies)
-
-    @property
-    def inflight(self) -> int:
-        busy = self.bus.busy + self.bus.queue_length
-        for die in self.dies:
-            busy += die.busy + die.queue_length
-        return busy
 
 
 class FlashArray:
@@ -105,10 +102,8 @@ class FlashArray:
         sim: Simulator,
         geometry: Optional[FlashGeometry] = None,
         timing: Optional[FlashTiming] = None,
-        reliability: Optional["ReliabilityConfig"] = None,
+        reliability: Optional[ReliabilityConfig] = None,
     ):
-        from .reliability import ReadRetryModel, ReliabilityConfig
-
         self.sim = sim
         self.geometry = geometry or FlashGeometry()
         self.timing = timing or FlashTiming()
@@ -118,8 +113,10 @@ class FlashArray:
             FlashChannel(sim, c, self.geometry.ways, self.timing, self.geometry.page_bytes)
             for c in range(self.geometry.channels)
         ]
-        self.read_latency = Accumulator()
         self.uncorrectable_reads = 0
+        # Operations issued whose completion callback has not run yet
+        # (closed-form stations cannot tell that from the clock alone).
+        self._inflight = 0
 
     # ------------------------------------------------------------------
     def read(self, ppn: int, on_done: ReadCallback) -> None:
@@ -128,10 +125,10 @@ class FlashArray:
         Uncorrectable reads (reliability model) deliver ``None`` after the
         full retry sequence, as a real drive would report a media error.
         """
-        from .reliability import UncorrectableError
-
         addr = self.geometry.addr(ppn)
-        start = self.sim.now
+        self._read(ppn, addr.channel, addr.way, on_done)
+
+    def _read(self, ppn: int, channel: int, way: int, on_done: ReadCallback) -> None:
         store = self.store
         try:
             retries = self.reliability.retries_for_read()
@@ -142,173 +139,60 @@ class FlashArray:
             self.uncorrectable_reads += 1
 
         def finish() -> None:
-            self.read_latency.add(self.sim.now - start)
+            self._inflight -= 1
             on_done(None if failed else store.read(ppn))
 
-        self.channels[addr.channel].read_page(addr.way, finish, retries=retries)
+        self._inflight += 1
+        self.channels[channel].read_page(way, finish, retries=retries)
 
     def read_many(
         self, ppns: "np.ndarray", on_page: Callable[[int, Any], None]
     ) -> None:
         """Batch read: ``on_page(i, content)`` fires as page ``i`` lands on-chip.
 
-        Timing-equivalent to calling :meth:`read` once per page at this
-        instant (the retry draws happen in page order, so the reliability
-        RNG stream matches): each die serializes its pages' tR phases and
-        every completed tR claims the shared channel bus for the data
-        transfer.  All die-phase completion times are computed up front —
-        a k-way virtual merge reproduces the event heap's exact ordering,
-        including same-instant ties — then bulk-pushed in one
-        :meth:`Simulator.schedule_batch` pass, with a single aggregate
-        occupancy job per die standing in for its page chain.  If any
-        target die is mid-service the batch falls back to per-page issue
-        (the queue interleaving is live state that cannot be precomputed).
+        Exactly :meth:`read` once per page, in page order: retry draws,
+        die reservations and event order all match the per-page form;
+        the die ids are computed in one vectorized pass.
         """
-        from .reliability import UncorrectableError
-
-        n = len(ppns)
-        if n == 0:
-            return
-        if n == 1:
-            self.read(int(ppns[0]), lambda content: on_page(0, content))
-            return
         ppns = np.ascontiguousarray(ppns, dtype=np.int64)
+        if ppns.size == 0:
+            return
         geometry = self.geometry
         if ppns.min() < 0 or ppns.max() >= geometry.total_pages:
             raise ValueError("ppn out of range")
-        sim = self.sim
-        start = sim.now
-        store = self.store
-        dies = (ppns // geometry.pages_per_block) // geometry.blocks_per_die
-        retries = [0] * n
-        failed = [False] * n
-        max_retries = self.reliability.config.max_read_retries
-        for i in range(n):
-            try:
-                retries[i] = self.reliability.retries_for_read()
-            except UncorrectableError:
-                retries[i] = max_retries
-                failed[i] = True
-                self.uncorrectable_reads += 1
-
-        def make_finish(i: int) -> DoneCallback:
-            ppn = int(ppns[i])
-            if failed[i]:
-                def finish_failed() -> None:
-                    self.read_latency.add(sim.now - start)
-                    on_page(i, None)
-                return finish_failed
-
-            def finish() -> None:
-                self.read_latency.add(sim.now - start)
-                on_page(i, store.read(ppn))
-
-            return finish
-
+        dies = ((ppns // geometry.pages_per_block) // geometry.blocks_per_die).tolist()
         ways = geometry.ways
-        die_ids = dies.tolist()
-        # Page indices per die, in arrival (lpn) order.
-        per_die: dict[int, list[int]] = {}
-        for i, d in enumerate(die_ids):
-            per_die.setdefault(d, []).append(i)
-
-        die_servers = {
-            d: self.channels[d // ways].dies[d % ways] for d in per_die
-        }
-        if any(not server.idle for server in die_servers.values()):
-            # Live queue state on a die: issue per page, exactly as read().
-            unit = self.timing.t_cmd_s + self.timing.t_read_s
-            xfer = self.timing.t_cmd_s + self.timing.transfer_time(
-                self.geometry.page_bytes
-            )
-            for i, d in enumerate(die_ids):
-                channel = self.channels[d // ways]
-                channel.reads += 1
-                bus = channel.bus
-                finish = make_finish(i)
-                channel.dies[d % ways].submit(
-                    (1 + retries[i]) * unit,
-                    lambda bus=bus, finish=finish: bus.submit(xfer, finish),
-                )
-            return
-
-        # All dies idle: every chain starts now.  Virtual-merge the die
-        # timelines to recover the exact (time, seq) order the per-page
-        # event cascade would produce: the first page of each die is
-        # scheduled at submit time in lpn order, each later page when its
-        # predecessor completes.
-        unit = self.timing.t_cmd_s + self.timing.t_read_s
-        merged_times: list[float] = []
-        merged_pages: list[int] = []
-        heap: list[tuple[float, int, int, int]] = []  # (time, vseq, die, pos)
-        for d, pages in per_die.items():
-            first = pages[0]
-            heap.append((start + (1 + retries[first]) * unit, first, d, 0))
-        heapq.heapify(heap)
-        vseq = n  # later pages schedule strictly after the initial wave
-        while heap:
-            t, _s, d, pos = heapq.heappop(heap)
-            pages = per_die[d]
-            merged_times.append(t)
-            merged_pages.append(pages[pos])
-            if pos + 1 < len(pages):
-                nxt = pages[pos + 1]
-                heapq.heappush(heap, (t + (1 + retries[nxt]) * unit, vseq, d, pos + 1))
-                vseq += 1
-
-        callbacks: list[Callable[[], None]] = []
-        for i in merged_pages:
-            channel = self.channels[die_ids[i] // ways]
-            channel.reads += 1
-            xfer = self.timing.t_cmd_s + self.timing.transfer_time(channel.page_bytes)
-            callbacks.append(
-                lambda bus=channel.bus, xfer=xfer, finish=make_finish(i): bus.submit(
-                    xfer, finish
-                )
-            )
-        sim.schedule_batch(merged_times, callbacks)
-        # One aggregate occupancy job per die: later arrivals queue behind
-        # the whole chain, exactly as behind its individual jobs.
-        for d, pages in per_die.items():
-            server = die_servers[d]
-            # Sequential accumulation matches the scalar event cascade's
-            # float associativity; the on_start hook pins the server-free
-            # instant to exactly the last page's completion.
-            last_end = start
-            for i in pages:
-                last_end = last_end + (1 + retries[i]) * unit
-            total = sum((1 + retries[i]) * unit for i in pages)
-            server.jobs_started += len(pages) - 1
-            server.jobs_completed += len(pages) - 1
-            server.submit(total, _die_noop, on_start=lambda end=last_end: end)
+        for i, ppn in enumerate(ppns.tolist()):
+            die = dies[i]
+            self._read(ppn, die // ways, die % ways, partial(on_page, i))
 
     def program(self, ppn: int, content: Any, on_done: DoneCallback) -> None:
         """Program ``content`` into page ``ppn`` (store updated at completion)."""
         addr = self.geometry.addr(ppn)
 
         def finish() -> None:
+            self._inflight -= 1
             self.store.program(ppn, content)
             on_done()
 
+        self._inflight += 1
         self.channels[addr.channel].program_page(addr.way, finish)
 
     def erase(self, block_id: int, on_done: DoneCallback) -> None:
         channel, way, _block = self.geometry.block_addr(block_id)
 
         def finish() -> None:
+            self._inflight -= 1
             self.store.erase_block(block_id)
             on_done()
 
+        self._inflight += 1
         self.channels[channel].erase_block(way, finish)
 
     # ------------------------------------------------------------------
     @property
     def idle(self) -> bool:
-        return all(ch.idle for ch in self.channels)
-
-    @property
-    def inflight(self) -> int:
-        return sum(ch.inflight for ch in self.channels)
+        return self._inflight == 0
 
     def total_reads(self) -> int:
         return sum(ch.reads for ch in self.channels)

@@ -133,11 +133,11 @@ class FlashStore:
             raise FlashStoreError(f"block id {block_id} out of range")
         if block_id in self._regions:
             raise FlashStoreError(f"region already installed in block {block_id}")
-        first_ppn = self.geometry.first_ppn_of_block(block_id)
-        if self._write_point.get(block_id, 0) != 0 or any(
-            ppn in self._content
-            for ppn in range(first_ppn, first_ppn + self.geometry.pages_per_block)
-        ):
+        # The write point doubles as the block's programmed-page count:
+        # program() and install() move it past every page they fill and
+        # only erase_block() resets it, so zero proves the block erased
+        # without probing its pages.
+        if self._write_point.get(block_id, 0) != 0:
             raise FlashStoreError(f"block {block_id} not erased")
         self._regions[block_id] = (region, first_offset, stride)
         self._write_point[block_id] = self.geometry.pages_per_block

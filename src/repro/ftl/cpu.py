@@ -8,10 +8,13 @@ model the two cores the way the RecSSD firmware uses them:
 * ``ftl_core``  — FTL work proper: mapping, page scheduling, and for
   RecSSD the SLS config processing and translation (vector accumulation).
 
-Both are single-server FIFO stations, so firmware work serializes exactly
+Both are single-server stations, so firmware work serializes exactly
 as it does on the prototype — this contention is what produces the
 baseline's ~10K IOPS command-bound random-read ceiling and the
-"Translation is roughly half of FTL time" behaviour in Fig 8.
+"Translation is roughly half of FTL time" behaviour in Fig 8.  The host
+core is plain FIFO (a closed-form :class:`~repro.sim.resources.Server`);
+the FTL core takes priorities (NDP work at 1, GC and wear moves at 2) and
+so stays an event-driven :class:`~repro.sim.resources.PriorityServer`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..sim.kernel import Simulator
-from ..sim.resources import Server
+from ..sim.resources import PriorityServer, Server
 from ..sim.units import us
 
 __all__ = ["FtlCpuCosts", "FtlCpu"]
@@ -51,13 +54,13 @@ class FtlCpuCosts:
 
 
 class FtlCpu:
-    """The two firmware cores as FIFO servers."""
+    """The two firmware cores as single-server stations."""
 
     def __init__(self, sim: Simulator, costs: FtlCpuCosts | None = None):
         self.sim = sim
         self.costs = costs or FtlCpuCosts()
-        self.host_core = Server(sim, capacity=1, name="arm.host_core")
-        self.ftl_core = Server(sim, capacity=1, name="arm.ftl_core")
+        self.host_core = Server(sim, name="arm.host_core")
+        self.ftl_core = PriorityServer(sim, name="arm.ftl_core")
 
     @property
     def idle(self) -> bool:

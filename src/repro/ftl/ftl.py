@@ -161,10 +161,9 @@ class GreedyFtl:
         commands stream at near-flash bandwidth instead of per-page command
         cost — matching the prototype's ~1.3GB/s sequential envelope.
 
-        Cache probes, mapping lookups and the flash fan-out run batched:
-        one ``lookup_many`` per command and one die chain per (channel,
-        way) group via :meth:`FlashArray.read_many`, instead of one
-        closure per page.  It matches the per-page reference in
+        Cache probes and mapping lookups run batched (one ``lookup_many``
+        per command), and the misses go to :meth:`FlashArray.read_many`
+        in one call.  It matches the per-page reference in
         ``tests/reference/ftl.py`` in simulated time and every counter.
         """
         if not lpns:
@@ -335,12 +334,10 @@ class GreedyFtl:
         Consecutive logical pages are striped across dies exactly as the
         log-structured write path would place them, so sequential reads
         exploit full channel parallelism.  Whole blocks are reserved and
-        the table's contents stay virtual (no per-page content entries),
-        but the cost is still O(pages) in interpreter steps:
-        ``FlashStore.install_region`` proves each block erased by probing
-        every one of its PPNs in a Python generator, and the mapping is
-        written with one ``bulk_map_pairs`` call (plus its array
-        validation) per block rather than once per table.
+        the table's contents stay virtual (no per-page content entries).
+        Interpreter work is O(blocks): one O(1) ``install_region`` per
+        block and one ``bulk_map_pairs`` call per die.  The mapping
+        arrays themselves are still written per page, inside numpy.
         """
         pages_needed = int(region.page_count)
         if pages_needed <= 0:
@@ -367,25 +364,22 @@ class GreedyFtl:
         for d_idx, die in enumerate(die_order):
             # Logical offsets served by this die: d_idx, d_idx + n_dies, ...
             die_pages = (pages_needed - d_idx + n_dies - 1) // n_dies
-            consumed = 0
-            for block_id in per_die_blocks[die]:
-                if consumed >= die_pages:
-                    break
-                count = min(per_block, die_pages - consumed)
-                first_offset = d_idx + consumed * n_dies
-                self.flash.store.install_region(
-                    block_id, region, first_offset, stride=n_dies
-                )
-                base_ppn = self.geometry.first_ppn_of_block(block_id)
-                ppns = np.arange(base_ppn, base_ppn + count, dtype=np.int64)
-                offsets = first_offset + np.arange(count, dtype=np.int64) * n_dies
-                self.mapping.bulk_map_pairs(lpn_start + offsets, ppns)
-                consumed += count
-            if consumed < die_pages:
+            used_blocks = per_die_blocks[die][: -(-die_pages // per_block)]
+            if len(used_blocks) * per_block < die_pages:
                 raise OutOfSpaceError(
                     f"die {die} reserved too few blocks for preload "
-                    f"({consumed}/{die_pages} pages)"
+                    f"({len(used_blocks) * per_block}/{die_pages} pages)"
                 )
+            for k, block_id in enumerate(used_blocks):
+                self.flash.store.install_region(
+                    block_id, region, d_idx + k * per_block * n_dies, stride=n_dies
+                )
+            # The die's pages fill its blocks in order: page j of the die
+            # is page j % per_block of block j // per_block.
+            j = np.arange(die_pages, dtype=np.int64)
+            first_ppns = np.asarray(used_blocks, dtype=np.int64) * per_block
+            ppns = first_ppns[j // per_block] + j % per_block
+            self.mapping.bulk_map_pairs(lpn_start + d_idx + j * n_dies, ppns)
         return pages_needed
 
     # ------------------------------------------------------------------

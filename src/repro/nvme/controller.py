@@ -156,11 +156,11 @@ class NvmeController:
                     )
                 )
             payload = ReadPayload(segments=segments, nbytes=total_bytes)
-
-            def after_dma_setup() -> None:
-                self.pcie.to_host(total_bytes, lambda: self.complete(qp, cmd, payload))
-
-            self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.dma_setup_s, after_dma_setup)
+            self._host_core_to_host(
+                self.ftl.cpu.costs.dma_setup_s,
+                total_bytes,
+                lambda: self.complete(qp, cmd, payload),
+            )
 
         self.ftl.read_pages(lpns, on_contents)
 
@@ -305,10 +305,7 @@ class NvmeController:
     # DMA helpers for the NDP engine
     # ------------------------------------------------------------------
     def dma_to_host(self, nbytes: int, on_done: Callable[[], None]) -> None:
-        def after_setup() -> None:
-            self.pcie.to_host(nbytes, on_done)
-
-        self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.dma_setup_s, after_setup)
+        self._host_core_to_host(self.ftl.cpu.costs.dma_setup_s, nbytes, on_done)
 
     def dma_to_device(self, nbytes: int, on_done: Callable[[], None]) -> None:
         def after_setup() -> None:
@@ -326,9 +323,6 @@ class NvmeController:
         payload: Any = None,
         status: Status = Status.SUCCESS,
     ) -> None:
-        def after_cpu() -> None:
-            self.pcie.to_host(COMPLETION_BYTES, post)
-
         def post() -> None:
             self.inflight -= 1
             qp.cq.post(
@@ -340,4 +334,17 @@ class NvmeController:
                 )
             )
 
-        self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.cmd_complete_s, after_cpu)
+        self._host_core_to_host(self.ftl.cpu.costs.cmd_complete_s, COMPLETION_BYTES, post)
+
+    def _host_core_to_host(
+        self, cpu_s: float, nbytes: int, on_done: Callable[[], None]
+    ) -> None:
+        """A host-core job, then a device->host transfer, as one tandem step.
+
+        Every device->host transfer goes through here, so the link sees
+        its transfers in host-core departure order and can be reserved
+        at host-core submit time: one event (``on_done``), at the same
+        instant the two-event cascade would reach.
+        """
+        end = self.ftl.cpu.host_core.reserve(cpu_s, self.sim.now)
+        self.pcie.d2h.transfer(nbytes, on_done, at=end)

@@ -17,7 +17,7 @@ by ``tests/serving/test_admission.py``::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..obs.resettable import register_resettable
 from ..sim.stats import Accumulator, rank_quantile, summarize_latencies
@@ -39,6 +39,10 @@ class ServingStats:
     def __init__(self, sim):
         self.sim = sim
         self.inflight = 0
+        # Wiring, not a counter: called after every settle (completion,
+        # reject or drop) while a driver such as ``run_workload`` waits
+        # on the settled count; None otherwise.
+        self.settle_hook: Optional[Callable[[], None]] = None
         self.reset()
         register_resettable(self)
 
@@ -180,6 +184,8 @@ class ServingStats:
         self._bump(self.submitted_by_model, request.model)
         self._bump(self.rejected_by_model, request.model)
         self._bump(self.rejects_by_reason, request.drop_reason or "capacity")
+        if self.settle_hook is not None:
+            self.settle_hook()
 
     def record_drop(self, request: InferenceRequest) -> None:
         """An *admitted* request was shed before dispatch (QoS drop)."""
@@ -189,6 +195,8 @@ class ServingStats:
         self._bump(self.drops_by_reason, request.drop_reason or "deadline")
         if request.t_drop >= 0:
             self.drop_waits.append(request.drop_wait)
+        if self.settle_hook is not None:
+            self.settle_hook()
 
     def record_dispatch(self, requests: List[InferenceRequest]) -> None:
         self.batches_dispatched += 1
@@ -263,6 +271,8 @@ class ServingStats:
         else:
             self.deadline_misses += 1
         self.last_completion = request.t_done
+        if self.settle_hook is not None:
+            self.settle_hook()
 
     # ------------------------------------------------------------------
     # Derived metrics

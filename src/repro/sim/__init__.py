@@ -1,8 +1,8 @@
 """Discrete-event simulation substrate (kernel, resources, statistics)."""
 
 from .kernel import Process, ScheduleHandle, Signal, SimError, Simulator, Timeout, drain
-from .resources import BandwidthPipe, Server, Store
-from .stats import Accumulator, Breakdown, TimeWeightedStat, summarize_latencies
+from .resources import BandwidthPipe, PriorityServer, Server, Store
+from .stats import Accumulator, Breakdown, summarize_latencies
 from . import units
 
 __all__ = [
@@ -14,11 +14,11 @@ __all__ = [
     "ScheduleHandle",
     "drain",
     "Server",
+    "PriorityServer",
     "Store",
     "BandwidthPipe",
     "Accumulator",
     "Breakdown",
-    "TimeWeightedStat",
     "summarize_latencies",
     "units",
 ]

@@ -18,7 +18,8 @@ from microseconds/milliseconds.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
+import math
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Simulator",
@@ -73,6 +74,7 @@ class Simulator:
         self._heap: list[list] = []
         self._seq = 0
         self._running = False
+        self._stopped = False
         self.event_count = 0
         # Observability hook (see repro.obs.tracer): None means tracing
         # is off and every instrumentation site short-circuits on one
@@ -107,66 +109,21 @@ class Simulator:
 
     def schedule_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> ScheduleHandle:
         """Like :meth:`schedule`, but runs ``fn(arg)`` — hot paths use this
-        to avoid allocating a closure per event (one ``Server`` job each).
+        to avoid allocating a closure per event.
         """
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_call_at(self._now + delay, fn, arg)
-
-    def schedule_call_at(self, time: float, fn: Callable[[Any], None], arg: Any) -> ScheduleHandle:
-        """Absolute-time form of :meth:`schedule_call`."""
-        if time < self._now:
-            raise SimError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
         self._seq += 1
-        event = ScheduleHandle((time, self._seq, fn, arg))
+        event = ScheduleHandle((self._now + delay, self._seq, fn, arg))
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_batch(
-        self, times: Sequence[float], callbacks: Sequence[Callable[[], None]]
-    ) -> None:
-        """Bulk-schedule ``callbacks[i]`` at absolute ``times[i]``.
-
-        ``times`` must be ascending (callers hold pre-sorted per-batch
-        timelines, e.g. one flash die group's page completions) and not in
-        the past.  When the heap is empty the sorted batch *is* a valid
-        heap and is installed in one pass; otherwise events are pushed
-        individually, still without per-event Python wrappers, handle
-        allocation, or revalidation.
-        """
-        n = len(times)
-        if n == 0:
-            return
-        if len(callbacks) != n:
-            raise SimError("schedule_batch: times/callbacks length mismatch")
-        if times[0] < self._now:
-            raise SimError(
-                f"cannot schedule at {times[0]} before current time {self._now}"
-            )
-        seq = self._seq
-        heap = self._heap
-        if heap:
-            push = heapq.heappush
-            prev = times[0]
-            for i in range(n):
-                t = times[i]
-                if t < prev:
-                    raise SimError("schedule_batch: times must be ascending")
-                prev = t
-                seq += 1
-                push(heap, [t, seq, callbacks[i], _NO_ARG])
-        else:
-            prev = times[0]
-            for i in range(n):
-                t = times[i]
-                if t < prev:
-                    raise SimError("schedule_batch: times must be ascending")
-                prev = t
-                seq += 1
-                heap.append([t, seq, callbacks[i], _NO_ARG])
-        self._seq = seq
+    def _push(self, time: float, fn: Callable, arg: Any = _NO_ARG) -> None:
+        """Schedule ``fn(arg)`` (or ``fn()``) at ``time`` with no handle and
+        no validation: for the ``repro.sim.resources`` stations, whose
+        event times are never in the past and never cancelled."""
+        self._seq += 1
+        heapq.heappush(self._heap, [time, self._seq, fn, arg])
 
     def call_soon(self, callback: Callable[[], None]) -> ScheduleHandle:
         """Run ``callback`` at the current time, after pending same-time events."""
@@ -193,39 +150,50 @@ class Simulator:
             return True
         return False
 
+    def stop(self) -> None:
+        """Make the running :meth:`run` return once the current callback
+        returns (the clock stays at that event's time)."""
+        self._stopped = True
+
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the event heap drains or ``until`` is reached.
+        """Run until the event heap drains, ``until`` is reached or a
+        callback calls :meth:`stop`.
 
         Returns the simulated time at which execution stopped.
         """
         if self._running:
             raise SimError("simulator is not reentrant")
         self._running = True
+        self._stopped = False
         heap = self._heap
         pop = heapq.heappop
+        limit = math.inf if until is None else until
         try:
             while heap:
-                head = heap[0]
-                callback = head[_CALLBACK]
+                event = pop(heap)
+                callback = event[_CALLBACK]
                 if callback is None:
-                    pop(heap)
                     continue
-                if until is not None and head[_TIME] > until:
+                time = event[_TIME]
+                if time > limit:
+                    heapq.heappush(heap, event)
                     self._now = until
                     break
-                pop(heap)
-                self._now = head[_TIME]
+                self._now = time
                 self.event_count += 1
-                arg = head[_ARG]
+                arg = event[_ARG]
                 if arg is _NO_ARG:
                     callback()
                 else:
                     callback(arg)
+                if self._stopped:
+                    break
             else:
                 if until is not None and until > self._now:
                     self._now = until
         finally:
             self._running = False
+            self._stopped = False
         return self._now
 
     def run_until(self, predicate: Callable[[], bool], limit: float = float("inf")) -> float:

@@ -1,10 +1,14 @@
 """Queueing resources for the DES kernel.
 
-Two families:
+Three families:
 
-* :class:`Server` — a FIFO single- or multi-server station with per-job
-  service times, used for contended hardware (FTL CPU cores, PCIe link,
-  flash channels).  Callback-based for low overhead on hot paths.
+* :class:`Server` — a closed-form single-server FIFO station (PCIe
+  links, the NVMe host-interface core, flash dies and channel buses).
+  A job's start and end are computed at submit time, so each job costs
+  exactly one event: the caller's callback at its end.
+* :class:`PriorityServer` — an event-driven single-server station with
+  priority classes (the FTL core, where NDP and GC work yields to
+  foreground IO).
 * :class:`Store` — an unbounded FIFO handoff queue between producer and
   consumer callbacks/processes.
 """
@@ -15,100 +19,118 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from .kernel import SimError, Simulator
-from .stats import TimeWeightedStat
+from .kernel import _NO_ARG, SimError, Simulator
 
-__all__ = ["Server", "Store", "BandwidthPipe"]
+__all__ = ["Server", "PriorityServer", "Store", "BandwidthPipe"]
 
 
 class Server:
-    """Priority-FIFO station with ``capacity`` parallel servers.
+    """Closed-form single-server FIFO station.
 
-    Jobs are submitted with an explicit service time; when a server becomes
-    free the highest-priority (lowest number), oldest job starts, and its
-    completion callback runs when the service time elapses.  Priorities
-    model firmware polling loops that refill hardware queues before doing
-    deferrable computation (e.g. the FTL schedules flash page requests
-    ahead of SLS translation work).  Tracks utilization and queue stats.
+    A job submitted at ``now`` starts at ``max(now, free_at)`` and ends
+    ``service_time`` later.  The event cascade a queued job would go
+    through (wait for the predecessor's finish event, start there) starts
+    it at exactly the predecessor's end float, so these floats are
+    bit-identical to that cascade, under contention too.  The one event
+    per job is the caller's callback at the end.
+
+    :meth:`reserve` claims the server without scheduling anything and
+    returns the end time.  A caller may chain a downstream station off
+    that end in the same step (a *tandem*), which is exact as long as
+    every job the downstream station sees arrives through this one, so
+    downstream arrival order equals this station's departure order.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "server"):
-        if capacity < 1:
-            raise SimError(f"server capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = "server"):
         self.sim = sim
         self.name = name
-        self.capacity = capacity
-        self._busy = 0
-        self._heap: list[tuple[int, int, float, Callable[[], None]]] = []
-        self._seq = 0
-        self.jobs_started = 0
-        self.jobs_completed = 0
+        self.free_at = sim.now
         self.busy_time = 0.0
-        self.queue_len_stat = TimeWeightedStat(sim)
 
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        service_time: float,
-        on_done: Callable[[], None],
-        priority: int = 0,
-        on_start: Optional[Callable[[], Optional[float]]] = None,
-    ) -> None:
-        """Enqueue a job needing ``service_time`` seconds of a server.
-
-        ``on_start`` (if given) runs at the instant the job claims a
-        server and may return an absolute completion time overriding
-        ``now + service_time`` — aggregate chain jobs (the batched flash
-        read path) use it to pin the server-free instant to a
-        sequentially-accumulated timeline, keeping float results
-        bit-identical to per-job submission.  An end time computed at
-        submit time is stale once the job has waited in the queue, so
-        ``on_start`` jobs must start immediately (callers check
-        ``idle``); queueing one is an error.
-        """
+    def reserve(self, service_time: float, at: float) -> float:
+        """Claim the server for ``service_time`` from ``max(at, free_at)``;
+        returns the end time.  Schedules no event."""
         if service_time < 0:
             raise SimError(f"negative service time {service_time}")
-        if self._busy < self.capacity:
-            self._start(service_time, on_done, on_start)
-        elif on_start is not None:
-            raise SimError("on_start jobs must be submitted to a free server")
-        else:
+        free_at = self.free_at
+        end = (free_at if free_at > at else at) + service_time
+        self.free_at = end
+        self.busy_time += service_time
+        return end
+
+    def submit(
+        self, service_time: float, on_done: Callable[..., None], arg: Any = _NO_ARG
+    ) -> None:
+        """Run ``on_done()`` — or ``on_done(arg)`` if ``arg`` is given, which
+        saves hot callers a closure — once a ``service_time`` job
+        submitted now ends."""
+        sim = self.sim
+        sim._push(self.reserve(service_time, sim._now), on_done, arg)
+
+    @property
+    def idle(self) -> bool:
+        """True once the clock reaches the last reservation's end.  The
+        last job's callback may still be pending at that very instant;
+        callers that need completion track their own callbacks."""
+        return self.free_at <= self.sim._now
+
+    def utilization(self, elapsed: Optional[float] = None) -> float:
+        """Fraction of ``elapsed`` seconds (default: now) spent busy."""
+        span = self.sim.now if elapsed is None else elapsed
+        if span <= 0:
+            return 0.0
+        return self.busy_time / span
+
+
+class PriorityServer:
+    """Event-driven single-server station with priority classes.
+
+    When the server frees, the highest-priority (lowest number), oldest
+    queued job starts; a running job is never preempted.  Priorities
+    model firmware polling loops that refill hardware queues before doing
+    deferrable computation (e.g. the FTL schedules flash page requests
+    ahead of SLS translation work).  A later high-priority arrival can
+    overtake queued work, so start times depend on live queue state and
+    each job pays one event at its end, where the next job starts.
+    """
+
+    def __init__(self, sim: Simulator, name: str = "server"):
+        self.sim = sim
+        self.name = name
+        self._busy = False
+        self._heap: list[tuple[int, int, float, Callable[[], None]]] = []
+        self._seq = 0
+        self.jobs_completed = 0
+        self.busy_time = 0.0
+
+    def submit(
+        self, service_time: float, on_done: Callable[[], None], priority: int = 0
+    ) -> None:
+        """Enqueue a job needing ``service_time`` seconds of the server."""
+        if service_time < 0:
+            raise SimError(f"negative service time {service_time}")
+        if self._busy:
             self._seq += 1
             heapq.heappush(self._heap, (priority, self._seq, service_time, on_done))
-            self.queue_len_stat.record(len(self._heap))
-
-    def _start(
-        self,
-        service_time: float,
-        on_done: Callable[[], None],
-        on_start: Optional[Callable[[], Optional[float]]] = None,
-    ) -> None:
-        self._busy += 1
-        self.jobs_started += 1
-        self.busy_time += service_time
-        if on_start is None:
-            self.sim.schedule_call(service_time, self._finish, on_done)
-            return
-        # on_start may return an authoritative absolute end time (chains
-        # accumulate it in scalar float order).
-        end = on_start()
-        if end is None:
-            self.sim.schedule_call(service_time, self._finish, on_done)
         else:
-            self.sim.schedule_call_at(end, self._finish, on_done)
+            self._start(service_time, on_done)
+
+    def _start(self, service_time: float, on_done: Callable[[], None]) -> None:
+        self._busy = True
+        self.busy_time += service_time
+        sim = self.sim
+        sim._push(sim._now + service_time, self._finish, on_done)
 
     def _finish(self, on_done: Callable[[], None]) -> None:
-        self._busy -= 1
+        self._busy = False
         self.jobs_completed += 1
         if self._heap:
             _prio, _seq, service_time, callback = heapq.heappop(self._heap)
-            self.queue_len_stat.record(len(self._heap))
             self._start(service_time, callback)
         on_done()
 
-    # ------------------------------------------------------------------
     @property
-    def busy(self) -> int:
+    def busy(self) -> bool:
         return self._busy
 
     @property
@@ -117,14 +139,9 @@ class Server:
 
     @property
     def idle(self) -> bool:
-        return self._busy == 0 and not self._heap
+        return not self._busy and not self._heap
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of server-seconds spent busy over ``elapsed`` seconds."""
-        span = self.sim.now if elapsed is None else elapsed
-        if span <= 0:
-            return 0.0
-        return self.busy_time / (span * self.capacity)
+    utilization = Server.utilization
 
 
 class Store:
@@ -169,9 +186,11 @@ class Store:
 class BandwidthPipe:
     """A link that serializes transfers at a fixed bandwidth plus latency.
 
-    Models a PCIe link or a flash-channel bus: transfers queue FIFO, each
-    occupying the link for ``size / bandwidth`` and completing after an
-    additional propagation ``latency`` (latency does not occupy the link).
+    Models a PCIe link: transfers queue FIFO on a closed-form
+    :class:`Server`, each occupying the link for ``size / bandwidth``
+    and completing after an additional propagation ``latency`` (latency
+    does not occupy the link).  The latency folds into the transfer's
+    one event, at ``end + latency``.
     """
 
     def __init__(
@@ -187,25 +206,25 @@ class BandwidthPipe:
         self.name = name
         self.bandwidth = bandwidth_bytes_per_s
         self.latency = latency_s
-        self._server = Server(sim, capacity=1, name=f"{name}.bus")
+        self._server = Server(sim, name=f"{name}.bus")
         self.bytes_transferred = 0
 
-    def transfer(self, size_bytes: int, on_done: Callable[[], None]) -> None:
-        """Move ``size_bytes`` through the link, then call ``on_done``."""
+    def transfer(
+        self,
+        size_bytes: int,
+        on_done: Callable[[], None],
+        at: Optional[float] = None,
+    ) -> None:
+        """Move ``size_bytes`` through the link, then call ``on_done``.
+
+        ``at`` (default: now) is when the data reaches the link — the end
+        of an upstream :meth:`Server.reserve` in a tandem chain.
+        """
         if size_bytes < 0:
             raise SimError(f"negative transfer size {size_bytes}")
         self.bytes_transferred += size_bytes
-        occupancy = size_bytes / self.bandwidth
-        if self.latency > 0:
-            latency = self.latency
-            sim = self.sim
-            self._server.submit(occupancy, lambda: sim.schedule(latency, on_done))
-        else:
-            self._server.submit(occupancy, on_done)
-
-    @property
-    def queue_length(self) -> int:
-        return self._server.queue_length
-
-    def utilization(self) -> float:
-        return self._server.utilization()
+        sim = self.sim
+        end = self._server.reserve(
+            size_bytes / self.bandwidth, sim._now if at is None else at
+        )
+        sim._push(end + self.latency, on_done)

@@ -37,12 +37,14 @@ reproducible.  Same seed, same latency distribution.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..models.base import IndexSampler
+from ..sim.kernel import SimError
 from .arrivals import ArrivalTrace
 
 __all__ = [
@@ -281,6 +283,13 @@ def run_workload(
     Returns the server's :class:`~repro.serving.stats.ServingStats`.
     One RNG (from ``rng`` or ``seed``) is shared by every generator, so
     a whole multi-tenant run is reproducible from a single seed.
+
+    The run stops on the event whose settle brings the count to its
+    target: the stats' ``settle_hook`` fires on every settle, and
+    :meth:`Simulator.stop` ends the run after that callback, instead of
+    re-evaluating the settled count after every event.  Raises
+    :class:`~repro.sim.kernel.SimError` if the events run out (or the
+    clock passes ``limit``) first.
     """
     gens: List[LoadGenerator] = (
         [generators] if isinstance(generators, LoadGenerator) else list(generators)
@@ -289,10 +298,26 @@ def run_workload(
         raise ValueError("need at least one load generator")
     if rng is None:
         rng = np.random.default_rng(seed)
-    base = server.stats.settled
-    total = 0
+    stats = server.stats
+    sim = server.sim
+    target = stats.settled
     for generator in gens:
         generator.schedule(server, rng)
-        total += generator.total_requests
-    server.sim.run_until(lambda: server.stats.settled >= base + total, limit)
-    return server.stats
+        target += generator.total_requests
+
+    def on_settle() -> None:
+        if stats.settled >= target:
+            sim.stop()
+
+    if stats.settled < target:
+        stats.settle_hook = on_settle
+        try:
+            sim.run(until=None if math.isinf(limit) else limit)
+        finally:
+            stats.settle_hook = None
+        if stats.settled < target:
+            raise SimError(
+                f"run_workload: events ran out with {stats.settled} of "
+                f"{target} requests settled"
+            )
+    return stats

@@ -100,3 +100,22 @@ class TestDriverBackpressure:
         cpl = sync_read(sim, driver, 0, 1)
         assert cpl.complete_time > 0
         assert driver.commands_issued == 1
+
+
+class TestEventBudget:
+    """Pin the events one conventional single-page read costs end to end
+    (driver submit, h2d command, fetch, FTL core, DMA setup + data, CQE,
+    driver completion; a page-cache miss adds the die and the bus), so a
+    re-added hop shows up here."""
+
+    def test_single_page_read_event_count(self, stack):
+        sim, device, driver = stack
+        device.ftl.preload_pages(0, ["page0"])
+
+        def events_for_read():
+            before = sim.event_count
+            assert sync_read(sim, driver, 0, 1).ok
+            return sim.event_count - before
+
+        assert events_for_read() == 9  # page-cache miss
+        assert events_for_read() == 7  # page-cache hit

@@ -84,6 +84,31 @@ class TestScheduling:
         with pytest.raises(SimError):
             sim.run_until(lambda: False)
 
+    def test_stop_returns_after_current_callback(self, sim):
+        order = []
+
+        def stopper():
+            order.append("stop")
+            sim.stop()
+            order.append("after-stop")
+
+        sim.schedule(1e-6, lambda: order.append("a"))
+        sim.schedule(2e-6, stopper)
+        sim.schedule(2e-6, lambda: order.append("same-instant"))
+        sim.schedule(3e-6, lambda: order.append("later"))
+        assert sim.run() == 2e-6
+        assert order == ["a", "stop", "after-stop"]
+        assert sim.event_count == 2
+        # The stop is spent: the next run resumes with the pending events.
+        sim.run()
+        assert order[3:] == ["same-instant", "later"]
+
+    def test_stop_outside_run_is_ignored(self, sim):
+        sim.stop()
+        sim.schedule(1e-6, lambda: None)
+        sim.run()
+        assert sim.event_count == 1
+
     def test_event_count(self, sim):
         for _ in range(7):
             sim.schedule(1e-6, lambda: None)

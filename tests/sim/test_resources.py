@@ -1,62 +1,41 @@
-"""Tests for Server (priority queueing), Store, BandwidthPipe."""
+"""Tests for Server (closed-form FIFO), PriorityServer, Store, BandwidthPipe."""
 
 import pytest
 
 from repro.sim.kernel import SimError, Simulator
-from repro.sim.resources import BandwidthPipe, Server, Store
+from repro.sim.resources import BandwidthPipe, PriorityServer, Server, Store
 
 
 class TestServer:
     def test_single_server_serializes(self, sim):
-        server = Server(sim, capacity=1)
+        server = Server(sim)
         done = []
         server.submit(1e-6, lambda: done.append(sim.now))
         server.submit(1e-6, lambda: done.append(sim.now))
         sim.run()
         assert done == pytest.approx([1e-6, 2e-6])
 
-    def test_parallel_capacity(self, sim):
-        server = Server(sim, capacity=3)
-        done = []
-        for _ in range(3):
-            server.submit(1e-6, lambda: done.append(sim.now))
-        sim.run()
-        assert done == pytest.approx([1e-6] * 3)
+    def test_reserve_chains_without_events(self, sim):
+        server = Server(sim)
+        assert server.reserve(2e-6, 0.0) == 2e-6
+        # A later arrival starts at its own time; an earlier one queues.
+        assert server.reserve(1e-6, 5e-6) == 6e-6
+        assert server.reserve(1e-6, 0.0) == 7e-6
+        assert sim.pending_events == 0
 
-    def test_fifo_within_priority(self, sim):
-        server = Server(sim, capacity=1)
-        order = []
-        server.submit(1e-6, lambda: order.append("busy"))
-        for name in ("a", "b", "c"):
-            server.submit(1e-6, lambda n=name: order.append(n))
-        sim.run()
-        assert order == ["busy", "a", "b", "c"]
-
-    def test_priority_jumps_queue(self, sim):
-        server = Server(sim, capacity=1)
-        order = []
-        server.submit(1e-6, lambda: order.append("busy"))
-        server.submit(1e-6, lambda: order.append("low1"), priority=1)
-        server.submit(1e-6, lambda: order.append("low2"), priority=1)
-        server.submit(1e-6, lambda: order.append("high"), priority=0)
-        sim.run()
-        assert order == ["busy", "high", "low1", "low2"]
-
-    def test_running_job_not_preempted(self, sim):
-        server = Server(sim, capacity=1)
-        order = []
-        server.submit(10e-6, lambda: order.append("long"))
-        sim.run(until=1e-6)
-        server.submit(1e-6, lambda: order.append("urgent"), priority=-5)
-        sim.run()
-        assert order == ["long", "urgent"]
-
-    def test_utilization_and_counters(self, sim):
-        server = Server(sim, capacity=1)
+    def test_one_event_per_job(self, sim):
+        server = Server(sim)
         for _ in range(4):
             server.submit(1e-6, lambda: None)
         sim.run()
-        assert server.jobs_completed == 4
+        assert sim.event_count == 4
+
+    def test_utilization_and_idle(self, sim):
+        server = Server(sim)
+        for _ in range(4):
+            server.submit(1e-6, lambda: None)
+        assert not server.idle
+        sim.run()
         assert server.busy_time == pytest.approx(4e-6)
         assert server.utilization() == pytest.approx(1.0)
         assert server.idle
@@ -66,16 +45,57 @@ class TestServer:
         with pytest.raises(SimError):
             server.submit(-1e-6, lambda: None)
 
-    def test_zero_capacity_rejected(self, sim):
+
+class TestPriorityServer:
+    def test_fifo_within_priority(self, sim):
+        server = PriorityServer(sim)
+        order = []
+        server.submit(1e-6, lambda: order.append("busy"))
+        for name in ("a", "b", "c"):
+            server.submit(1e-6, lambda n=name: order.append(n))
+        sim.run()
+        assert order == ["busy", "a", "b", "c"]
+
+    def test_priority_jumps_queue(self, sim):
+        server = PriorityServer(sim)
+        order = []
+        server.submit(1e-6, lambda: order.append("busy"))
+        server.submit(1e-6, lambda: order.append("low1"), priority=1)
+        server.submit(1e-6, lambda: order.append("low2"), priority=1)
+        server.submit(1e-6, lambda: order.append("high"), priority=0)
+        sim.run()
+        assert order == ["busy", "high", "low1", "low2"]
+
+    def test_running_job_not_preempted(self, sim):
+        server = PriorityServer(sim)
+        order = []
+        server.submit(10e-6, lambda: order.append("long"))
+        sim.run(until=1e-6)
+        server.submit(1e-6, lambda: order.append("urgent"), priority=-5)
+        sim.run()
+        assert order == ["long", "urgent"]
+
+    def test_utilization_and_counters(self, sim):
+        server = PriorityServer(sim)
+        for _ in range(4):
+            server.submit(1e-6, lambda: None)
+        sim.run()
+        assert server.jobs_completed == 4
+        assert server.busy_time == pytest.approx(4e-6)
+        assert server.utilization() == pytest.approx(1.0)
+        assert server.idle
+
+    def test_negative_service_time_rejected(self, sim):
+        server = PriorityServer(sim)
         with pytest.raises(SimError):
-            Server(sim, capacity=0)
+            server.submit(-1e-6, lambda: None)
 
     def test_queue_length(self, sim):
-        server = Server(sim, capacity=1)
+        server = PriorityServer(sim)
         for _ in range(5):
             server.submit(1e-6, lambda: None)
         assert server.queue_length == 4
-        assert server.busy == 1
+        assert server.busy
 
 
 class TestStore:

@@ -80,6 +80,14 @@ def test_ci_runs_hotpath_bench_smoke():
     assert "'cache_filter' in r and 'fig6_style' in r" in ci
 
 
+def test_ci_runs_perfbench_selftest():
+    """The repo benchmark's self-test runs on every push: every metric
+    BENCHMARK.json names is printed with its unit, and an injected wrong
+    SLS value or exception must fail the run (its correctness gate)."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert "python perfbench/selftest.py" in ci
+
+
 def test_pyproject_declares_slow_marker_and_cov_extra():
     pyproject = (REPO / "pyproject.toml").read_text()
     assert 'slow' in pyproject and "markers" in pyproject
